@@ -33,7 +33,7 @@ pub mod tokenizer;
 pub mod vocabulary;
 
 pub use document::{Document, DocumentId};
-pub use pairs::{PairCountConfig, PairCounter, PairCounts};
+pub use pairs::{KeywordPair, PairCountConfig, PairCounter, PairCounts};
 pub use stemmer::porter_stem;
 pub use synthetic::{SyntheticBlogosphere, SyntheticConfig, ZipfSampler};
 pub use timeline::{IntervalId, Timeline};

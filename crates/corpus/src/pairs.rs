@@ -4,18 +4,25 @@
 //! `u, v ∈ D`, `A_D(u,v) = 1`; summing over all documents of the interval
 //! gives `A(u,v)`, the number of documents containing both keywords. The
 //! per-keyword document frequency `A(u)` is obtained by also emitting the
-//! self pair `(u,u)`. Two implementations are provided:
+//! self pair `(u,u)`. Both implementations count the paper's way — sort the
+//! pair occurrences so identical pairs become adjacent, then count the runs:
 //!
-//! * [`PairCounter::in_memory`] — a hash-map counter, used when the interval's
-//!   pair multiset fits in memory.
+//! * [`PairCounter::in_memory`] — a two-pass counting sort keyed on `u`
+//!   (count each keyword's partners, then scatter every partner `v > u` into
+//!   its keyword's bucket), then a sort of each bucket and a run-length count.
+//!   Used when the interval's pair multiset fits in memory.
 //! * [`PairCounter::external`] — the paper's approach verbatim: emit every
 //!   pair occurrence to a spill file, sort it with the external merge sort of
-//!   [`bsc_storage::external_sort`] so identical pairs become adjacent, and
-//!   count them in one pass over the sorted output.
+//!   [`bsc_storage::external_sort`] and count in one pass over the sorted
+//!   output.
 //!
-//! Both produce the same [`PairCounts`]; a property test asserts this.
+//! Both produce the same [`PairCounts`]: `A(u,v)` as one `(u, v)`-sorted
+//! array of [`KeywordPair`]s and `A(u)` as one `u`-sorted array, so every
+//! iteration order is deterministic by construction and a keyword graph can
+//! share the pair array instead of copying it. A property test asserts the
+//! two paths agree element for element.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use bsc_storage::external_sort::{sort_and_count, ExternalSorter, SortConfig};
 
@@ -25,8 +32,8 @@ use crate::vocabulary::KeywordId;
 /// Strategy and tuning for pair counting.
 #[derive(Debug, Clone, Default)]
 pub struct PairCountConfig {
-    /// Use the external-sort implementation instead of the in-memory hash
-    /// map.
+    /// Use the external-sort implementation instead of the in-memory
+    /// counting sort.
     pub external: bool,
     /// Spill configuration for the external implementation.
     pub sort: SortConfig,
@@ -43,13 +50,25 @@ impl PairCountConfig {
     }
 }
 
+/// One aggregated co-occurrence of two distinct keywords, with `u < v`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeywordPair {
+    /// First keyword (smaller id).
+    pub u: KeywordId,
+    /// Second keyword (larger id).
+    pub v: KeywordId,
+    /// `A(u,v)`: number of documents containing both keywords.
+    pub count: u64,
+}
+
 /// Aggregated co-occurrence statistics for one temporal interval.
 #[derive(Debug, Clone, Default)]
 pub struct PairCounts {
-    /// `A(u,v)` for `u < v`: number of documents containing both keywords.
-    pair_counts: HashMap<(KeywordId, KeywordId), u64>,
-    /// `A(u)`: number of documents containing keyword `u`.
-    keyword_counts: HashMap<KeywordId, u64>,
+    /// `A(u,v)` for `u < v`, sorted by `(u, v)`. Shared, not copied, with
+    /// the keyword graphs built from these counts.
+    pairs: Arc<Vec<KeywordPair>>,
+    /// `(u, A(u))`, sorted by `u`.
+    keywords: Vec<(KeywordId, u64)>,
     /// `n = |D|`: total number of documents in the interval.
     num_documents: u64,
 }
@@ -61,12 +80,18 @@ impl PairCounts {
             return self.keyword_count(u);
         }
         let key = if u < v { (u, v) } else { (v, u) };
-        self.pair_counts.get(&key).copied().unwrap_or(0)
+        match self.pairs.binary_search_by_key(&key, |p| (p.u, p.v)) {
+            Ok(at) => self.pairs[at].count,
+            Err(_) => 0,
+        }
     }
 
     /// `A(u)`: the number of documents containing `u`.
     pub fn keyword_count(&self, u: KeywordId) -> u64 {
-        self.keyword_counts.get(&u).copied().unwrap_or(0)
+        match self.keywords.binary_search_by_key(&u, |&(k, _)| k) {
+            Ok(at) => self.keywords[at].1,
+            Err(_) => 0,
+        }
     }
 
     /// `n`: the number of documents in the interval.
@@ -76,23 +101,29 @@ impl PairCounts {
 
     /// Number of distinct keywords observed.
     pub fn num_keywords(&self) -> usize {
-        self.keyword_counts.len()
+        self.keywords.len()
     }
 
     /// Number of distinct co-occurring keyword pairs (graph edges before
     /// pruning).
     pub fn num_pairs(&self) -> usize {
-        self.pair_counts.len()
+        self.pairs.len()
     }
 
-    /// Iterate over `(u, v, A(u,v))` triplets with `u < v`.
+    /// Iterate over `(u, v, A(u,v))` triplets with `u < v`, in ascending
+    /// `(u, v)` order.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (KeywordId, KeywordId, u64)> + '_ {
-        self.pair_counts.iter().map(|(&(u, v), &c)| (u, v, c))
+        self.pairs.iter().map(|p| (p.u, p.v, p.count))
     }
 
-    /// Iterate over `(u, A(u))` entries.
+    /// Iterate over `(u, A(u))` entries, in ascending keyword order.
     pub fn iter_keywords(&self) -> impl Iterator<Item = (KeywordId, u64)> + '_ {
-        self.keyword_counts.iter().map(|(&u, &c)| (u, c))
+        self.keywords.iter().copied()
+    }
+
+    /// The `(u, v)`-sorted pair array itself, shared rather than copied.
+    pub fn shared_pairs(&self) -> Arc<Vec<KeywordPair>> {
+        Arc::clone(&self.pairs)
     }
 }
 
@@ -127,25 +158,8 @@ impl PairCounter {
         if self.config.external {
             self.count_external(documents)
         } else {
-            Ok(self.count_in_memory(documents))
+            Ok(count_in_memory(documents))
         }
-    }
-
-    fn count_in_memory(&self, documents: &[Document]) -> PairCounts {
-        let mut counts = PairCounts {
-            num_documents: documents.len() as u64,
-            ..Default::default()
-        };
-        for doc in documents {
-            let keywords = doc.keywords();
-            for (i, &u) in keywords.iter().enumerate() {
-                *counts.keyword_counts.entry(u).or_insert(0) += 1;
-                for &v in &keywords[i + 1..] {
-                    *counts.pair_counts.entry((u, v)).or_insert(0) += 1;
-                }
-            }
-        }
-        counts
     }
 
     fn count_external(&self, documents: &[Document]) -> std::io::Result<PairCounts> {
@@ -160,20 +174,108 @@ impl PairCounter {
                 }
             }
         }
-        let mut counts = PairCounts {
-            num_documents: documents.len() as u64,
-            ..Default::default()
-        };
+        // The sorted output arrives in `(u, v)` order, and `(u,u)` sorts
+        // before every `(u,v)` with `v > u`, so both arrays fill in order.
+        let mut pairs = Vec::new();
+        let mut keywords = Vec::new();
         sort_and_count(sorter, |(u, v), count| {
             if u == v {
-                counts.keyword_counts.insert(KeywordId(u), count);
+                keywords.push((KeywordId(u), count));
             } else {
-                counts
-                    .pair_counts
-                    .insert((KeywordId(u), KeywordId(v)), count);
+                pairs.push(KeywordPair {
+                    u: KeywordId(u),
+                    v: KeywordId(v),
+                    count,
+                });
             }
         })?;
-        Ok(counts)
+        pairs.shrink_to_fit();
+        keywords.shrink_to_fit();
+        Ok(PairCounts {
+            pairs: Arc::new(pairs),
+            keywords,
+            num_documents: documents.len() as u64,
+        })
+    }
+}
+
+/// Sort-and-count in memory. Keyword ids are dense vocabulary indices, so
+/// per-keyword state lives in arrays indexed by id:
+///
+/// 1. count `A(u)` and the number of partners `v > u` of every `u`;
+/// 2. lay the buckets out back to back and scatter each document's partners
+///    into them (a counting sort of the pair occurrences on `u`);
+/// 3. sort each bucket, so identical pairs become adjacent, and count the
+///    runs into the pair array, which ends with exact capacity.
+fn count_in_memory(documents: &[Document]) -> PairCounts {
+    let universe = documents
+        .iter()
+        .filter_map(|doc| doc.keywords().last())
+        .map(|k| k.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut keyword_counts = vec![0u64; universe];
+    // `ends[u]` is first the end of `u`'s bucket; scattering moves it down
+    // to the bucket's start. `ends[universe]` stays the total.
+    let mut ends = vec![0usize; universe + 1];
+    for doc in documents {
+        let keywords = doc.keywords();
+        for (i, u) in keywords.iter().enumerate() {
+            keyword_counts[u.index()] += 1;
+            ends[u.index()] += keywords.len() - 1 - i;
+        }
+    }
+    let mut total = 0;
+    for end in &mut ends[..universe] {
+        total += *end;
+        *end = total;
+    }
+    ends[universe] = total;
+
+    let mut partners = vec![0u32; total];
+    for doc in documents {
+        let keywords = doc.keywords();
+        for (i, u) in keywords.iter().enumerate() {
+            let tail = &keywords[i + 1..];
+            let start = ends[u.index()] - tail.len();
+            ends[u.index()] = start;
+            for (slot, v) in partners[start..].iter_mut().zip(tail) {
+                *slot = v.0;
+            }
+        }
+    }
+
+    // Reserve the occurrence count, an upper bound on the distinct pairs,
+    // and shrink once filled. A large reservation is mapped rather than
+    // carved from the heap, only the pages written become resident, and the
+    // shrink hands the tail back without a copy; sizing the array exactly up
+    // front instead lets the allocator leave freed arrays of earlier
+    // intervals resident as heap holes (docs/performance.md).
+    let mut pairs = Vec::with_capacity(total);
+    for (u, bucket) in ends.windows(2).enumerate() {
+        let u = KeywordId(u as u32);
+        let bucket = &mut partners[bucket[0]..bucket[1]];
+        bucket.sort_unstable();
+        for run in bucket.chunk_by(|a, b| a == b) {
+            pairs.push(KeywordPair {
+                u,
+                v: KeywordId(run[0]),
+                count: run.len() as u64,
+            });
+        }
+    }
+    pairs.shrink_to_fit();
+
+    let mut keywords = Vec::with_capacity(keyword_counts.iter().filter(|&&c| c > 0).count());
+    for (u, &count) in keyword_counts.iter().enumerate() {
+        if count > 0 {
+            keywords.push((KeywordId(u as u32), count));
+        }
+    }
+    PairCounts {
+        pairs: Arc::new(pairs),
+        keywords,
+        num_documents: documents.len() as u64,
     }
 }
 

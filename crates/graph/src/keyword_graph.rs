@@ -4,29 +4,28 @@
 //! at least one document of the interval contains both keywords. The graph
 //! also carries the per-keyword document counts `A(u)` and the interval's
 //! document count `n`, which the χ²/ρ statistics need.
+//!
+//! The edges are the `(u, v)`-sorted pair array of the [`PairCounts`] the
+//! graph was built from, shared rather than copied. `A(u)` is a dense array
+//! indexed by [`KeywordId`]: vocabulary ids are dense, so it costs one slot
+//! per vocabulary word and is read in ascending id order without a sort.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use bsc_corpus::pairs::PairCounts;
 use bsc_corpus::vocabulary::KeywordId;
 
 /// An edge of the keyword graph, with `u < v`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeywordEdge {
-    /// First endpoint (smaller id).
-    pub u: KeywordId,
-    /// Second endpoint (larger id).
-    pub v: KeywordId,
-    /// `A(u,v)`: number of documents containing both keywords.
-    pub count: u64,
-}
+pub use bsc_corpus::pairs::KeywordPair as KeywordEdge;
 
 /// The keyword graph `G` for one temporal interval.
 #[derive(Debug, Clone, Default)]
 pub struct KeywordGraph {
     num_documents: u64,
-    keyword_counts: HashMap<KeywordId, u64>,
-    edges: Vec<KeywordEdge>,
+    /// `A(u)` by keyword id; `None` for an id with no recorded count.
+    keyword_counts: Vec<Option<u64>>,
+    /// Sorted by `(u, v)`, without duplicates.
+    edges: Arc<Vec<KeywordEdge>>,
 }
 
 impl KeywordGraph {
@@ -37,7 +36,7 @@ impl KeywordGraph {
 
     /// Number of distinct keywords (vertices).
     pub fn num_keywords(&self) -> usize {
-        self.keyword_counts.len()
+        self.keyword_counts.iter().filter(|c| c.is_some()).count()
     }
 
     /// Number of co-occurrence edges.
@@ -47,22 +46,24 @@ impl KeywordGraph {
 
     /// `A(u)`: number of documents containing keyword `u`.
     pub fn keyword_count(&self, u: KeywordId) -> u64 {
-        self.keyword_counts.get(&u).copied().unwrap_or(0)
+        self.keyword_counts
+            .get(u.index())
+            .copied()
+            .flatten()
+            .unwrap_or(0)
     }
 
-    /// The edges of the graph (unordered).
+    /// The edges of the graph, sorted by `(u, v)`.
     pub fn edges(&self) -> &[KeywordEdge] {
         &self.edges
     }
 
-    /// Iterate over `(u, A(u))`, in ascending keyword order. Sorting here
-    /// keeps every consumer of the keyword set deterministic without each
-    /// of them having to re-sort.
+    /// Iterate over `(u, A(u))`, in ascending keyword order.
     pub fn keywords(&self) -> impl Iterator<Item = (KeywordId, u64)> + '_ {
-        let mut pairs: Vec<(KeywordId, u64)> =
-            self.keyword_counts.iter().map(|(&k, &c)| (k, c)).collect();
-        pairs.sort_unstable();
-        pairs.into_iter()
+        self.keyword_counts
+            .iter()
+            .enumerate()
+            .filter_map(|(u, count)| count.map(|count| (KeywordId(u as u32), count)))
     }
 }
 
@@ -70,6 +71,16 @@ impl KeywordGraph {
 #[derive(Debug, Clone, Default)]
 pub struct KeywordGraphBuilder {
     graph: KeywordGraph,
+}
+
+impl From<KeywordGraph> for KeywordGraphBuilder {
+    /// Continue building from an existing graph. The first [`edge`] copies
+    /// an edge array the graph still shares; until then nothing is copied.
+    ///
+    /// [`edge`]: KeywordGraphBuilder::edge
+    fn from(graph: KeywordGraph) -> Self {
+        KeywordGraphBuilder { graph }
+    }
 }
 
 impl KeywordGraphBuilder {
@@ -84,20 +95,31 @@ impl KeywordGraphBuilder {
         self
     }
 
-    /// Record the per-keyword document count `A(u)`.
+    /// Record the per-keyword document count `A(u)`, replacing an earlier
+    /// count for `u`.
     pub fn keyword(mut self, u: KeywordId, count: u64) -> Self {
-        self.graph.keyword_counts.insert(u, count);
+        let counts = &mut self.graph.keyword_counts;
+        if counts.len() <= u.index() {
+            counts.resize(u.index() + 1, None);
+        }
+        counts[u.index()] = Some(count);
         self
     }
 
-    /// Add a co-occurrence edge with count `A(u,v)`. Endpoints are normalized
-    /// so that the stored edge has `u < v`; self loops are ignored.
+    /// Add a co-occurrence edge with count `A(u,v)`, replacing the count of
+    /// an edge already present. Endpoints are normalized so that the stored
+    /// edge has `u < v`; self loops are ignored. An edge array shared with
+    /// a [`PairCounts`] or another graph is copied first, never mutated.
     pub fn edge(mut self, u: KeywordId, v: KeywordId, count: u64) -> Self {
         if u == v {
             return self;
         }
         let (u, v) = if u < v { (u, v) } else { (v, u) };
-        self.graph.edges.push(KeywordEdge { u, v, count });
+        let edges = Arc::make_mut(&mut self.graph.edges);
+        match edges.binary_search_by_key(&(u, v), |e| (e.u, e.v)) {
+            Ok(at) => edges[at].count = count,
+            Err(at) => edges.insert(at, KeywordEdge { u, v, count }),
+        }
         self
     }
 
@@ -106,28 +128,23 @@ impl KeywordGraphBuilder {
         self.graph
     }
 
-    /// Build a keyword graph directly from aggregated pair counts.
-    ///
-    /// Keywords and pairs are sorted by id before insertion: the pair counts
-    /// live in hash maps whose iteration order varies between instances, and
-    /// that order would otherwise leak — via the edge list, the CSR node
-    /// interning and the biconnected-component enumeration — all the way
-    /// into the *cluster indices* of the cluster graph, making two runs on
-    /// identical input produce differently-numbered (though isomorphic)
-    /// clusters. Sorting here makes the whole pipeline deterministic.
+    /// Build a keyword graph directly from aggregated pair counts. The
+    /// graph shares the counts' `(u, v)`-sorted pair array as its edge
+    /// list, so nothing is copied or re-sorted.
     pub fn from_pair_counts(counts: &PairCounts) -> KeywordGraph {
-        let mut builder = KeywordGraphBuilder::new().num_documents(counts.num_documents());
-        let mut keywords: Vec<(KeywordId, u64)> = counts.iter_keywords().collect();
-        keywords.sort_unstable_by_key(|&(k, _)| k);
-        for (keyword, count) in keywords {
-            builder = builder.keyword(keyword, count);
+        let universe = counts
+            .iter_keywords()
+            .last()
+            .map_or(0, |(u, _)| u.index() + 1);
+        let mut keyword_counts = vec![None; universe];
+        for (u, count) in counts.iter_keywords() {
+            keyword_counts[u.index()] = Some(count);
         }
-        let mut pairs: Vec<(KeywordId, KeywordId, u64)> = counts.iter_pairs().collect();
-        pairs.sort_unstable_by_key(|&(u, v, _)| (u, v));
-        for (u, v, count) in pairs {
-            builder = builder.edge(u, v, count);
+        KeywordGraph {
+            num_documents: counts.num_documents(),
+            keyword_counts,
+            edges: counts.shared_pairs(),
         }
-        builder.build()
     }
 }
 
@@ -178,5 +195,87 @@ mod tests {
             .find(|e| e.u == kw(1) && e.v == kw(2))
             .unwrap();
         assert_eq!(edge_12.count, 2);
+    }
+
+    #[test]
+    fn keyword_recorded_twice_keeps_the_last_count() {
+        let graph = KeywordGraphBuilder::new()
+            .keyword(kw(3), 4)
+            .keyword(kw(3), 9)
+            .build();
+        assert_eq!(graph.keyword_count(kw(3)), 9);
+        assert_eq!(graph.num_keywords(), 1);
+        assert_eq!(graph.keywords().collect::<Vec<_>>(), vec![(kw(3), 9)]);
+    }
+
+    #[test]
+    fn keyword_recorded_with_count_zero_is_still_a_vertex() {
+        let graph = KeywordGraphBuilder::new()
+            .keyword(kw(5), 0)
+            .keyword(kw(2), 1)
+            .build();
+        assert_eq!(graph.num_keywords(), 2);
+        assert_eq!(graph.keyword_count(kw(5)), 0);
+        assert_eq!(
+            graph.keywords().collect::<Vec<_>>(),
+            vec![(kw(2), 1), (kw(5), 0)]
+        );
+    }
+
+    #[test]
+    fn edges_stay_sorted_and_unique_in_any_insertion_order() {
+        let graph = KeywordGraphBuilder::new()
+            .edge(kw(3), kw(4), 1)
+            .edge(kw(2), kw(1), 2)
+            .edge(kw(1), kw(5), 3)
+            .edge(kw(4), kw(3), 7)
+            .build();
+        let edges: Vec<_> = graph.edges().iter().map(|e| (e.u, e.v, e.count)).collect();
+        assert_eq!(
+            edges,
+            vec![(kw(1), kw(2), 2), (kw(1), kw(5), 3), (kw(3), kw(4), 7)]
+        );
+    }
+
+    #[test]
+    fn editing_a_graph_built_from_counts_never_touches_the_counts() {
+        let docs = vec![
+            Document::new(DocumentId(1), IntervalId(0), [kw(1), kw(2), kw(3)]),
+            Document::new(DocumentId(2), IntervalId(0), [kw(1), kw(2)]),
+        ];
+        let counts = PairCounter::in_memory().count(&docs).unwrap();
+        let before: Vec<_> = counts.iter_pairs().collect();
+        let shared = KeywordGraphBuilder::from_pair_counts(&counts);
+        let edited = KeywordGraphBuilder::from(shared.clone())
+            .edge(kw(1), kw(2), 100)
+            .edge(kw(0), kw(9), 7)
+            .build();
+
+        assert_eq!(counts.iter_pairs().collect::<Vec<_>>(), before);
+        assert_eq!(counts.pair_count(kw(1), kw(2)), 2);
+        let unedited: Vec<_> = shared.edges().iter().map(|e| (e.u, e.v, e.count)).collect();
+        assert_eq!(unedited, before);
+        let edges: Vec<_> = edited.edges().iter().map(|e| (e.u, e.v, e.count)).collect();
+        assert_eq!(
+            edges,
+            vec![
+                (kw(0), kw(9), 7),
+                (kw(1), kw(2), 100),
+                (kw(1), kw(3), 1),
+                (kw(2), kw(3), 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn empty_corpus_gives_an_empty_graph() {
+        let counts = PairCounter::in_memory().count(&[]).unwrap();
+        let graph = KeywordGraphBuilder::from_pair_counts(&counts);
+        assert_eq!(graph.num_documents(), 0);
+        assert_eq!(graph.num_keywords(), 0);
+        assert_eq!(graph.num_edges(), 0);
+        assert!(graph.edges().is_empty());
+        assert_eq!(graph.keywords().count(), 0);
+        assert_eq!(graph.keyword_count(kw(0)), 0);
     }
 }
